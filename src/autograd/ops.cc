@@ -2,6 +2,8 @@
 
 #include <cmath>
 
+#include "la/kernel_dispatch.h"
+
 namespace turbo::ag {
 
 using la::Matrix;
@@ -94,21 +96,22 @@ Tensor MulColBroadcast(const Tensor& x, const Tensor& gate) {
 }
 
 Tensor MatMul(const Tensor& a, const Tensor& b) {
-  Matrix v = la::MatMul(a->value, b->value);
+  Matrix v = la::dispatch::MatMul(a->value, b->value);
   return MakeOp("matmul", std::move(v), {a, b}, [](Node* n) {
+    // dA = dC * B^T, dB = A^T * dC.
     if (n->parents[0]->requires_grad) {
       n->parents[0]->AccumGrad(
-          la::MatMulTransB(n->grad, n->parents[1]->value));
+          la::dispatch::MatMulTransB(n->grad, n->parents[1]->value));
     }
     if (n->parents[1]->requires_grad) {
       n->parents[1]->AccumGrad(
-          la::MatMulTransA(n->parents[0]->value, n->grad));
+          la::dispatch::MatMul(la::Transpose(n->parents[0]->value), n->grad));
     }
   });
 }
 
 Tensor SpMM(const la::SparseMatrix& a, const Tensor& x) {
-  Matrix v = a.Multiply(x->value);
+  Matrix v = la::dispatch::Spmm(a, x->value);
   // The sparse matrix is captured by value; it is cheap to copy only if the
   // caller keeps it alive — copy the CSR arrays to be safe (shared graphs
   // reuse one SparseMatrix across many ops, so capture by pointer would be

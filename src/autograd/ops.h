@@ -3,6 +3,12 @@
 // Shapes follow the dense-matrix conventions of la::Matrix. All backward
 // implementations are checked against numerical gradients in
 // tests/autograd/gradcheck_test.cc.
+//
+// Each op is a forward kernel plus a backward closure. The dense and
+// sparse products (MatMul, SpMM) run on the runtime-dispatched kernels
+// of la/kernel_dispatch.h, the same ones the tape-free inference
+// forwards use, so training follows the active kernel ISA; forcing the
+// scalar tier makes it bit-exact across machines.
 #pragma once
 
 #include <vector>

@@ -22,12 +22,6 @@ const la::internal::KernelTable& ActiveTable() {
 #else
       break;
 #endif
-    case KernelIsa::kNeon:
-#if defined(TURBO_LA_HAVE_NEON)
-      return la::internal::NeonKernels();
-#else
-      break;
-#endif
   }
   return la::internal::ScalarKernels();
 }
@@ -36,8 +30,9 @@ const la::internal::KernelTable& ActiveTable() {
 
 namespace {
 
-// Same depth blocking as la::MatMul: blocks advance in increasing p, so
-// each c[i,j] accumulates depth-sequentially regardless of tier.
+// Depth blocking keeps the active slice of b in cache for large k; blocks
+// advance in increasing p, so each c[i,j] accumulates depth-sequentially
+// regardless of tier.
 constexpr size_t kDepthBlock = 128;
 
 // Resolves the addend pointer/stride for the fused epilogues. Returns

@@ -1,17 +1,15 @@
-// Runtime-dispatched dense/sparse kernels for the tape-free inference
-// path, plus the fused epilogues the model forwards use.
+// Runtime-dispatched dense/sparse kernels: the library's only GEMM,
+// GEMM * B^T and CSR SpMM forward, shared by the autograd ops (training)
+// and the tape-free inference forwards (serving), plus the fused
+// epilogues the model forwards use.
 //
-// Each function here mirrors the blocking and thread-pool structure of
-// its plain la:: counterpart (la::MatMul, la::MatMulTransB,
-// SparseMatrix::Multiply, MapT) but routes the inner row-range loops
-// through the per-ISA kernel table selected by la::ActiveIsa() (see
-// cpu_features.h). With KernelIsa::kScalar forced, every function is
-// bit-identical to its la:: counterpart; SIMD tiers keep the same
-// accumulation order and are held to a <= 4-ULP elementwise bound by
-// tests/la/dispatch_test.cc and tests/core/simd_equivalence_test.cc.
-//
-// The autograd/training path never calls through here — it uses the
-// plain scalar la:: kernels so training is bit-exact across machines.
+// Each function owns the blocking and thread-pool structure and routes
+// the inner row-range loops through the per-ISA kernel table selected by
+// la::ActiveIsa() (see cpu_features.h). The scalar tier is the reference;
+// SIMD tiers keep the same accumulation order and are held to a <= 4-ULP
+// elementwise bound by tests/la/dispatch_test.cc and
+// tests/core/simd_equivalence_test.cc. With KernelIsa::kScalar forced
+// (TURBO_KERNEL_ISA=scalar) training is bit-exact across machines.
 #pragma once
 
 #include "la/cpu_features.h"
@@ -21,13 +19,15 @@
 
 namespace turbo::la::dispatch {
 
-/// C = A * B, dispatched. Same shapes/blocking/parallelism as la::MatMul.
+/// C = A * B. Shapes: [m,k] x [k,n] -> [m,n]. Row-parallel on the shared
+/// thread pool above a flop threshold; rows are never split, so results
+/// are identical across thread counts.
 Matrix MatMul(const Matrix& a, const Matrix& b);
 
-/// C = A * B^T, dispatched. Same contract as la::MatMulTransB.
+/// C = A * B^T. Shapes: [m,k] x [n,k] -> [m,n]. Row-parallel like MatMul.
 Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
-/// Y = S * X, dispatched. Same contract as SparseMatrix::Multiply.
+/// Y = S * X. Shapes: [m,k] x [k,n] -> [m,n]. Row-parallel like MatMul.
 Matrix Spmm(const SparseMatrix& s, const Matrix& x);
 
 /// Fused Y = act(S * X + addend): SpMM, addend and activation in one
@@ -57,3 +57,9 @@ const la::internal::KernelTable& ActiveTable();
 }  // namespace internal
 
 }  // namespace turbo::la::dispatch
+
+namespace turbo::la {
+/// la::MatMul is the dispatched GEMM under its plain name, not a second
+/// implementation.
+using dispatch::MatMul;
+}  // namespace turbo::la

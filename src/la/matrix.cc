@@ -123,87 +123,6 @@ std::string Matrix::DebugString(int max_rows, int max_cols) const {
   return oss.str();
 }
 
-Matrix MatMul(const Matrix& a, const Matrix& b) {
-  TURBO_CHECK_EQ(a.cols(), b.rows());
-  Matrix c(a.rows(), b.cols());
-  const size_t m = a.rows(), k = a.cols(), n = b.cols();
-  // ikj loop order: streams through b and c rows so the inner loop
-  // vectorizes. The depth loop is blocked to keep the active slice of b
-  // in cache for large k; blocks advance in increasing p, so each c[i,j]
-  // accumulates in exactly the serial order. Dense inputs branch-predict
-  // terribly on a zero-skip test, so none is attempted (the old kernel's
-  // `if (av == 0.0f) continue;` cost ~30% on dense GEMM — see
-  // bench_micro_kernels BM_MatMulReference).
-  constexpr size_t kDepthBlock = 128;
-  detail::ParallelRows(m, k * n, [&](size_t r0, size_t r1) {
-    for (size_t p0 = 0; p0 < k; p0 += kDepthBlock) {
-      const size_t p1 = std::min(k, p0 + kDepthBlock);
-      for (size_t i = r0; i < r1; ++i) {
-        float* crow = c.row(i);
-        const float* arow = a.row(i);
-        for (size_t p = p0; p < p1; ++p) {
-          const float av = arow[p];
-          const float* brow = b.row(p);
-          for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-        }
-      }
-    }
-  });
-  return c;
-}
-
-Matrix MatMulTransA(const Matrix& a, const Matrix& b) {
-  TURBO_CHECK_EQ(a.rows(), b.rows());
-  Matrix c(a.cols(), b.cols());
-  const size_t k = a.rows(), m = a.cols(), n = b.cols();
-  for (size_t p = 0; p < k; ++p) {
-    const float* arow = a.row(p);
-    const float* brow = b.row(p);
-    for (size_t i = 0; i < m; ++i) {
-      const float av = arow[i];
-      if (av == 0.0f) continue;
-      float* crow = c.row(i);
-      for (size_t j = 0; j < n; ++j) crow[j] += av * brow[j];
-    }
-  }
-  return c;
-}
-
-Matrix MatMulTransB(const Matrix& a, const Matrix& b) {
-  TURBO_CHECK_EQ(a.cols(), b.cols());
-  Matrix c(a.rows(), b.rows());
-  const size_t m = a.rows(), k = a.cols(), n = b.rows();
-  // Row-of-a against two rows of b at a time: a[i,:] is loaded once per
-  // pair instead of once per row of b. Each dot product keeps one
-  // sequential accumulator, so results match the serial kernel exactly.
-  detail::ParallelRows(m, k * n, [&](size_t r0, size_t r1) {
-    for (size_t i = r0; i < r1; ++i) {
-      const float* arow = a.row(i);
-      float* crow = c.row(i);
-      size_t j = 0;
-      for (; j + 1 < n; j += 2) {
-        const float* b0 = b.row(j);
-        const float* b1 = b.row(j + 1);
-        float s0 = 0.0f, s1 = 0.0f;
-        for (size_t p = 0; p < k; ++p) {
-          const float av = arow[p];
-          s0 += av * b0[p];
-          s1 += av * b1[p];
-        }
-        crow[j] = s0;
-        crow[j + 1] = s1;
-      }
-      if (j < n) {
-        const float* brow = b.row(j);
-        float s = 0.0f;
-        for (size_t p = 0; p < k; ++p) s += arow[p] * brow[p];
-        crow[j] = s;
-      }
-    }
-  });
-  return c;
-}
-
 Matrix Transpose(const Matrix& a) {
   Matrix t(a.cols(), a.rows());
   for (size_t r = 0; r < a.rows(); ++r) {

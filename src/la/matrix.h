@@ -1,5 +1,6 @@
-// Dense row-major float matrix and the kernels used by the autograd
-// engine and the classical ML models.
+// Dense row-major float matrix and the elementwise / structural kernels
+// used by the autograd engine and the classical ML models. The GEMM and
+// SpMM products live in la/kernel_dispatch.h.
 //
 // Deliberately simple: contiguous 64-byte-aligned vector storage,
 // explicit shapes, bounds-checked accessors (TURBO_CHECK stays on in
@@ -101,16 +102,6 @@ class Matrix {
 };
 
 // ---- kernels ----
-
-/// C = A * B. Shapes: [m,k] x [k,n] -> [m,n]. Row-parallel on the shared
-/// thread pool above a flop threshold; the per-element accumulation
-/// order is independent of the thread count, so results are identical
-/// across serial and parallel runs.
-Matrix MatMul(const Matrix& a, const Matrix& b);
-/// C = A^T * B. Shapes: [k,m] x [k,n] -> [m,n].
-Matrix MatMulTransA(const Matrix& a, const Matrix& b);
-/// C = A * B^T. Shapes: [m,k] x [n,k] -> [m,n]. Row-parallel like MatMul.
-Matrix MatMulTransB(const Matrix& a, const Matrix& b);
 
 /// Caps the threads dense/sparse kernels may use (benches and tests pin
 /// this for reproducible scaling runs). <= 0 restores the hardware

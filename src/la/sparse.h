@@ -1,8 +1,8 @@
 // CSR sparse matrix used for graph adjacency in GNN message passing.
 //
-// Structure is immutable after construction (built once per GraphBatch);
-// only SpMM-style products against dense matrices are needed, plus the
-// transposed product for the backward pass.
+// Structure is immutable after construction (built once per GraphBatch).
+// The forward product S * X is la::dispatch::Spmm (la/kernel_dispatch.h);
+// this class keeps only the transposed product for the backward pass.
 #pragma once
 
 #include <cstdint>
@@ -35,11 +35,8 @@ class SparseMatrix {
   const AlignedVector<uint32_t>& col_idx() const { return col_idx_; }
   const AlignedVector<float>& values() const { return values_; }
 
-  /// Y = this * X. Shapes: [m,k] x [k,n] -> [m,n].
-  Matrix Multiply(const Matrix& x) const;
-
   /// Y = this^T * X. Shapes: [m,k]^T x [m,n] -> [k,n].
-  /// Backward of Multiply w.r.t. X.
+  /// Backward of la::dispatch::Spmm(this, X) w.r.t. X.
   Matrix MultiplyTransposed(const Matrix& x) const;
 
   /// Per-row sum of values (weighted out-degree) -> [m,1] dense.

@@ -74,14 +74,9 @@ struct PredictionConfig {
   /// Run the tape-free forward (GnnModel::EmbedInference) instead of the
   /// autograd forward. Equivalent predictions (float-tolerance, see
   /// tests/core/inference_equivalence_test); skips all tape allocation
-  /// and runs the runtime-dispatched SIMD kernels. Off by default so
-  /// existing callers keep byte-for-byte behavior.
+  /// and fuses bias/activation epilogues into the dispatched kernels.
+  /// Off by default so existing callers keep byte-for-byte behavior.
   bool use_inference_path = false;
-  /// Serve from int8 row-quantized weights (la/quant.h). Requires
-  /// use_inference_path; the model's weights are quantized once at
-  /// server construction. Predictions change within the AUC-equivalence
-  /// gate of tests/core/quantized_inference_test (|dAUC| <= 0.002).
-  bool quantized_inference = false;
   /// Capacity (entries) of the snapshot-versioned prediction cache;
   /// 0 disables it. Keys are (shard_tag, snapshot version, uid), so a
   /// published snapshot implicitly invalidates every cached prediction.

@@ -1,14 +1,17 @@
-// Numerical gradient verification for every differentiable operator.
+// Numerical gradient verification for every differentiable operator,
+// under every kernel ISA the host supports.
 #include "autograd/gradcheck.h"
 
 #include <gtest/gtest.h>
 
 #include "autograd/ops.h"
+#include "tests/autograd/gradcheck_test_util.h"
 
 namespace turbo::ag {
 namespace {
 
 using la::Matrix;
+using testing::ExpectGradsOk;
 
 class GradCheckTest : public ::testing::Test {
  protected:
@@ -17,13 +20,6 @@ class GradCheckTest : public ::testing::Test {
   Tensor RandParam(size_t r, size_t c, const char* name,
                    float stddev = 0.8f) {
     return Param(Matrix::Randn(r, c, &rng_, stddev), name);
-  }
-
-  void ExpectGradsOk(const std::vector<Tensor>& params,
-                     const std::function<Tensor()>& loss) {
-    auto res = CheckGradients(params, loss);
-    EXPECT_TRUE(res.ok) << res.detail
-                        << " (max_abs_err=" << res.max_abs_err << ")";
   }
 };
 

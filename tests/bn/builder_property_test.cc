@@ -2,6 +2,8 @@
 // for any window hierarchy, any population size, and any seed.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "bn/builder.h"
 #include "bn/snapshot.h"
 #include "datagen/scenario.h"
@@ -14,6 +16,14 @@ struct BnPropertyCase {
   uint64_t seed;
   std::vector<SimTime> windows;
 };
+
+/// Prints a case as e.g. "u300_seed2_w2" (users, seed, window count).
+/// gtest_discover_tests names each ctest case after its printed
+/// parameter; the default byte dump would embed padding and heap
+/// pointers, which change from build to build.
+void PrintTo(const BnPropertyCase& c, std::ostream* os) {
+  *os << "u" << c.users << "_seed" << c.seed << "_w" << c.windows.size();
+}
 
 class BnPropertyTest : public ::testing::TestWithParam<BnPropertyCase> {
  protected:

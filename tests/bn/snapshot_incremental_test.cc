@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <vector>
 
 #include "bn/snapshot.h"
@@ -65,6 +66,14 @@ struct IncrementalCase {
   uint64_t seed;
   bool normalize;
 };
+
+/// Prints a case as e.g. "n50_seed1_norm". gtest_discover_tests names
+/// each ctest case after its printed parameter, so this keeps ctest names
+/// free of the struct's padding bytes, which differ from build to build.
+void PrintTo(const IncrementalCase& c, std::ostream* os) {
+  *os << "n" << c.num_nodes << "_seed" << c.seed
+      << (c.normalize ? "_norm" : "_raw");
+}
 
 class SnapshotIncrementalTest
     : public ::testing::TestWithParam<IncrementalCase> {};

@@ -29,15 +29,6 @@ using la::testing::ExpectUlpClose;
 
 constexpr int64_t kMaxUlps = 4;
 
-std::vector<la::KernelIsa> SimdIsas() {
-  std::vector<la::KernelIsa> isas;
-  for (la::KernelIsa isa : {la::KernelIsa::kAvx2, la::KernelIsa::kAvx512,
-                            la::KernelIsa::kNeon}) {
-    if (la::IsaSupported(isa)) isas.push_back(isa);
-  }
-  return isas;
-}
-
 std::vector<int> AlternatingLabels(size_t n) {
   std::vector<int> labels(n);
   for (size_t i = 0; i < n; ++i) labels[i] = static_cast<int>(i % 2);
@@ -52,9 +43,9 @@ float ModelFloor(const la::Matrix& ref) {
   return 64.0f * std::numeric_limits<float>::epsilon() * ref.MaxAbs();
 }
 
-/// Trains briefly under the scalar tier (training never dispatches, but
-/// pinning makes the intent explicit), then sweeps every supported SIMD
-/// tier against the forced-scalar inference forward.
+/// Trains briefly under the scalar tier (training dispatches too, so the
+/// pin keeps the weights identical on every host), then sweeps every
+/// supported SIMD tier against the forced-scalar inference forward.
 void ExpectSimdMatchesScalar(gnn::GnnModel* model,
                              const gnn::GraphBatch& batch) {
   la::Matrix emb_ref, logits_ref;
@@ -68,7 +59,8 @@ void ExpectSimdMatchesScalar(gnn::GnnModel* model,
     emb_ref = model->EmbedInference(batch);
     logits_ref = model->LogitsInference(batch);
   }
-  for (la::KernelIsa isa : SimdIsas()) {
+  for (la::KernelIsa isa : la::testing::SupportedIsas()) {
+    if (isa == la::KernelIsa::kScalar) continue;
     la::ScopedKernelIsa forced(isa);
     SCOPED_TRACE(la::IsaName(isa));
     ExpectUlpClose(emb_ref, model->EmbedInference(batch), kMaxUlps,

@@ -6,31 +6,21 @@
 
 #include <gtest/gtest.h>
 
-#include "la/matrix.h"
-#include "la/sparse.h"
+#include "la/kernel_dispatch.h"
+#include "tests/la/ulp_test_util.h"
 #include "util/rng.h"
 
 namespace turbo::la {
 namespace {
+
+using testing::NaiveMatMul;
+using testing::NaiveMatMulTransB;
 
 /// Restores the global kernel-thread cap on scope exit so tests cannot
 /// leak a cap into each other.
 struct KernelThreadGuard {
   ~KernelThreadGuard() { SetKernelThreads(0); }
 };
-
-/// Textbook ijk matmul as the independent reference.
-Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
-  Matrix c(a.rows(), b.cols());
-  for (size_t i = 0; i < a.rows(); ++i) {
-    for (size_t j = 0; j < b.cols(); ++j) {
-      float s = 0.0f;
-      for (size_t p = 0; p < a.cols(); ++p) s += a(i, p) * b(p, j);
-      c(i, j) = s;
-    }
-  }
-  return c;
-}
 
 TEST(KernelsParallelTest, MatMulMatchesNaiveReference) {
   KernelThreadGuard guard;
@@ -65,11 +55,11 @@ TEST(KernelsParallelTest, MatMulTransBBitIdenticalAcrossThreadCounts) {
   const Matrix a = Matrix::Randn(150, 140, &rng);
   const Matrix b = Matrix::Randn(111, 140, &rng);
   SetKernelThreads(1);
-  const Matrix serial = MatMulTransB(a, b);
-  const Matrix ref = NaiveMatMul(a, Transpose(b));
+  const Matrix serial = dispatch::MatMulTransB(a, b);
+  const Matrix ref = NaiveMatMulTransB(a, b);
   EXPECT_TRUE(AllClose(serial, ref, 1e-4f, 1e-4f));
   SetKernelThreads(4);
-  EXPECT_TRUE(AllClose(MatMulTransB(a, b), serial, 0.0f, 0.0f));
+  EXPECT_TRUE(AllClose(dispatch::MatMulTransB(a, b), serial, 0.0f, 0.0f));
 }
 
 TEST(KernelsParallelTest, SparseMultiplyBitIdenticalAcrossThreadCounts) {
@@ -87,9 +77,9 @@ TEST(KernelsParallelTest, SparseMultiplyBitIdenticalAcrossThreadCounts) {
   const SparseMatrix m = SparseMatrix::FromTriplets(n, n, triplets);
   const Matrix x = Matrix::Randn(n, 350, &rng);
   SetKernelThreads(1);
-  const Matrix serial = m.Multiply(x);
+  const Matrix serial = dispatch::Spmm(m, x);
   SetKernelThreads(4);
-  EXPECT_TRUE(AllClose(m.Multiply(x), serial, 0.0f, 0.0f));
+  EXPECT_TRUE(AllClose(dispatch::Spmm(m, x), serial, 0.0f, 0.0f));
 }
 
 TEST(KernelsParallelTest, MapTAndZipTElementwise) {

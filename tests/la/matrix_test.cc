@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include "la/kernel_dispatch.h"
+
 namespace turbo::la {
 namespace {
 
@@ -76,17 +78,26 @@ TEST(MatMulTest, IdentityIsNeutral) {
 }
 
 TEST(MatMulTest, TransAVariantsMatchExplicitTranspose) {
+  // A^T * B as the MatMul backward computes it (Transpose, then GEMM),
+  // against an explicit sum over the shared leading dimension.
   Rng rng(2);
   Matrix a = Matrix::Randn(5, 3, &rng);
   Matrix b = Matrix::Randn(5, 4, &rng);
-  EXPECT_TRUE(AllClose(MatMulTransA(a, b), MatMul(Transpose(a), b)));
+  Matrix ref(3, 4);
+  for (size_t i = 0; i < 3; ++i) {
+    for (size_t j = 0; j < 4; ++j) {
+      for (size_t p = 0; p < 5; ++p) ref(i, j) += a(p, i) * b(p, j);
+    }
+  }
+  EXPECT_TRUE(AllClose(MatMul(Transpose(a), b), ref));
 }
 
 TEST(MatMulTest, TransBVariantsMatchExplicitTranspose) {
   Rng rng(3);
   Matrix a = Matrix::Randn(5, 3, &rng);
   Matrix b = Matrix::Randn(4, 3, &rng);
-  EXPECT_TRUE(AllClose(MatMulTransB(a, b), MatMul(a, Transpose(b))));
+  EXPECT_TRUE(
+      AllClose(dispatch::MatMulTransB(a, b), MatMul(a, Transpose(b))));
 }
 
 TEST(MatMulDeathTest, ShapeMismatchAborts) {

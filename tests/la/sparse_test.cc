@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "la/kernel_dispatch.h"
+
 namespace turbo::la {
 namespace {
 
@@ -55,7 +57,7 @@ TEST(SparseTest, MultiplyMatchesDense) {
   auto m = MakeExample();
   Rng rng(1);
   Matrix x = Matrix::Randn(3, 5, &rng);
-  EXPECT_TRUE(AllClose(m.Multiply(x), MatMul(m.ToDense(), x)));
+  EXPECT_TRUE(AllClose(dispatch::Spmm(m, x), MatMul(m.ToDense(), x)));
 }
 
 TEST(SparseTest, MultiplyTransposedMatchesDense) {
@@ -88,7 +90,7 @@ TEST(SparseTest, EmptyMatrix) {
   auto m = SparseMatrix::FromTriplets(3, 3, {});
   EXPECT_EQ(m.nnz(), 0u);
   Matrix x(3, 2, 1.0f);
-  Matrix y = m.Multiply(x);
+  Matrix y = dispatch::Spmm(m, x);
   EXPECT_DOUBLE_EQ(y.Sum(), 0.0);
 }
 
@@ -107,7 +109,8 @@ TEST(SparseTest, LargeRandomAgainstDense) {
   }
   auto m = SparseMatrix::FromTriplets(40, 30, trips);
   Matrix x = Matrix::Randn(30, 8, &rng);
-  EXPECT_TRUE(AllClose(m.Multiply(x), MatMul(m.ToDense(), x), 1e-4f, 1e-3f));
+  EXPECT_TRUE(
+      AllClose(dispatch::Spmm(m, x), MatMul(m.ToDense(), x), 1e-4f, 1e-3f));
 }
 
 }  // namespace

@@ -1,4 +1,5 @@
-// ULP-distance matchers for the SIMD dispatch equivalence tests.
+// Helpers for the kernel-tier tests: ULP-distance matchers, the list of
+// tiers this host supports, and naive reference products.
 //
 // The SIMD tiers keep the scalar accumulation order, so they differ
 // from scalar only by FMA contraction (and lane-wise horizontal sums in
@@ -14,10 +15,13 @@
 #include <cstdint>
 #include <cstring>
 #include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "la/cpu_features.h"
 #include "la/matrix.h"
+#include "la/sparse.h"
 
 namespace turbo::la::testing {
 
@@ -79,6 +83,65 @@ inline void ExpectBitEqual(const Matrix& ref, const Matrix& got,
     ASSERT_EQ(rb, gb) << what << ": element " << i << " ref=" << ref.data()[i]
                       << " got=" << got.data()[i];
   }
+}
+
+/// Every kernel tier this binary compiled and this host can run, scalar
+/// first. Tests sweep these under ScopedKernelIsa; unsupported tiers are
+/// skipped rather than failed.
+inline std::vector<KernelIsa> SupportedIsas() {
+  std::vector<KernelIsa> isas;
+  for (KernelIsa isa :
+       {KernelIsa::kScalar, KernelIsa::kAvx2, KernelIsa::kAvx512}) {
+    if (IsaSupported(isa)) isas.push_back(isa);
+  }
+  return isas;
+}
+
+// The naive references below accumulate each output element in the same
+// order as the scalar tier and share its loop shape (which index is
+// innermost). The shape matters for bit-exactness: where the compiler
+// may contract a*b+c into an FMA (e.g. -march=x86-64-v3), it decides per
+// loop shape, so a reference with a different shape can round
+// differently. Without blocking, threading or the kernel table they are
+// still an independent check of the scalar tier.
+
+/// C = A * B, row-major ikj: C[i,:] += A[i,p] * B[p,:] for increasing p.
+inline Matrix NaiveMatMul(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.cols());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t p = 0; p < a.cols(); ++p) {
+      const float av = a(i, p);
+      for (size_t j = 0; j < b.cols(); ++j) c(i, j) += av * b(p, j);
+    }
+  }
+  return c;
+}
+
+/// C = A * B^T as one sequential dot product per output element.
+inline Matrix NaiveMatMulTransB(const Matrix& a, const Matrix& b) {
+  Matrix c(a.rows(), b.rows());
+  for (size_t i = 0; i < a.rows(); ++i) {
+    for (size_t j = 0; j < b.rows(); ++j) {
+      float s = 0.0f;
+      for (size_t p = 0; p < a.cols(); ++p) s += a(i, p) * b(j, p);
+      c(i, j) = s;
+    }
+  }
+  return c;
+}
+
+/// Row-by-row CSR product Y = S * X, accumulating each row's entries in
+/// storage order.
+inline Matrix NaiveSpmm(const SparseMatrix& s, const Matrix& x) {
+  Matrix y(s.rows(), x.cols());
+  for (size_t r = 0; r < s.rows(); ++r) {
+    for (uint32_t e = s.row_ptr()[r]; e < s.row_ptr()[r + 1]; ++e) {
+      for (size_t j = 0; j < x.cols(); ++j) {
+        y(r, j) += s.values()[e] * x(s.col_idx()[e], j);
+      }
+    }
+  }
+  return y;
 }
 
 }  // namespace turbo::la::testing
