@@ -279,6 +279,8 @@ void BM_StatFeatures(benchmark::State& state) {
 }
 BENCHMARK(BM_StatFeatures);
 
+// The serving forward: HAG Logits under ag::NoGradScope (no parents, no
+// backward closures kept).
 void BM_HagForward(benchmark::State& state) {
   const auto& ds = SharedDataset();
   static std::unique_ptr<core::PreparedData> data;
@@ -290,6 +292,7 @@ void BM_HagForward(benchmark::State& state) {
   core::Hag model(benchx::MakeHagConfig(scale, 1));
   model.Init(static_cast<int>(data->features.cols()));
   auto batch = core::MakeBatch(*data, data->test_uids, bn::SamplerConfig{});
+  ag::NoGradScope no_grad;
   for (auto _ : state) {
     auto logits = model.Logits(batch, /*training=*/false, nullptr);
     benchmark::DoNotOptimize(logits->value.data());
@@ -297,29 +300,6 @@ void BM_HagForward(benchmark::State& state) {
   state.counters["batch_nodes"] = static_cast<double>(batch.num_nodes());
 }
 BENCHMARK(BM_HagForward)->Unit(benchmark::kMillisecond);
-
-// Tape-free counterpart of BM_HagForward: same trained weights, same
-// batch, but EmbedInference/LogitsInference on raw matrices (no Node
-// allocation, no backward closures). The ratio of the two is the
-// autograd-tape overhead the serving path saves.
-void BM_HagForwardInference(benchmark::State& state) {
-  const auto& ds = SharedDataset();
-  static std::unique_ptr<core::PreparedData> data;
-  if (!data) {
-    datagen::Dataset copy = ds;
-    data = core::PrepareData(std::move(copy), core::PipelineConfig{});
-  }
-  benchx::BenchScale scale;
-  core::Hag model(benchx::MakeHagConfig(scale, 1));
-  model.Init(static_cast<int>(data->features.cols()));
-  auto batch = core::MakeBatch(*data, data->test_uids, bn::SamplerConfig{});
-  for (auto _ : state) {
-    auto logits = model.LogitsInference(batch);
-    benchmark::DoNotOptimize(logits.data());
-  }
-  state.counters["batch_nodes"] = static_cast<double>(batch.num_nodes());
-}
-BENCHMARK(BM_HagForwardInference)->Unit(benchmark::kMillisecond);
 
 void BM_GbdtFit(benchmark::State& state) {
   Rng rng(3);

@@ -107,13 +107,12 @@ ServingStack BuildStack(int users, const BenchScale& scale,
 }
 
 /// Closed-loop capacity: requests/s of one client thread running
-/// batched tape-free inference flat out — the reference the open-loop
+/// batched inference flat out — the reference the open-loop
 /// rate sweep is anchored to.
 double MeasureCapacity(ServingStack* s, size_t requests) {
   obs::MetricsRegistry reg;
   server::PredictionConfig pcfg;
   pcfg.metrics = &reg;
-  pcfg.use_inference_path = true;
   server::PredictionServer srv(pcfg, s->bn.get(), s->features.get(),
                                s->model.get(), &s->data->scaler);
   constexpr int kBatch = 8;
@@ -151,7 +150,6 @@ LoadRun RunOne(ServingStack* s, double rate_x, int workers, bool gate,
   obs::MetricsRegistry reg;
   server::PredictionConfig pcfg;
   pcfg.metrics = &reg;
-  pcfg.use_inference_path = true;
   server::PredictionServer srv(pcfg, s->bn.get(), s->features.get(),
                                s->model.get(), &s->data->scaler);
 

@@ -1,6 +1,6 @@
-// Serving-throughput study for the batched tape-free inference path:
-// requests/s and per-call p99 as a function of client-thread count and
-// batch size, with an autograd-forward ablation and a cache-enabled run.
+// Serving-throughput study for the batched inference path: requests/s
+// and per-call p99 as a function of client-thread count and batch size,
+// with a forced-scalar ablation and a cache-enabled run.
 //
 // Every run gets a fresh PredictionServer with a private registry (so
 // p99 comes from that run's predict_total_ms histogram) but shares one
@@ -9,9 +9,9 @@
 //
 // Writes BENCH_serving.json (consumed by scripts/check_bench_regression.py;
 // `hardware_threads` is recorded so the gate can skip itself on a
-// different core count). The headline acceptance number: the tape-free
-// batched path at batch >= 8 must clear 3x the single-request
-// autograd-forward throughput.
+// different core count). The headline acceptance number: the batched
+// path at batch >= 8 must clear 3x the single-request (t1/b1)
+// throughput.
 //
 //   ./bench_serving_throughput [--users=N] [--requests=K] [--epochs=E]
 //                              [--out=BENCH_serving.json]
@@ -77,8 +77,7 @@ ServingStack BuildStack(int users, const BenchScale& scale) {
                row, row + s.data->dataset.profile_features.cols()));
   }
   // Warm the statistical-feature cache at the pinned as_of so every run
-  // (autograd and inference alike) measures serving, not first-touch
-  // feature computation.
+  // measures serving, not first-touch feature computation.
   for (UserId u = 0; u < static_cast<UserId>(users); ++u) {
     s.features->GetFeatures(u, s.bn->now());
   }
@@ -96,7 +95,7 @@ ServingStack BuildStack(int users, const BenchScale& scale) {
 }
 
 struct RunResult {
-  // "autograd" | "inference" | "inference[scalar]" | "inference+cache"
+  // "inference" | "inference[scalar]" | "inference+cache"
   std::string mode;
   int threads = 0;
   int batch = 0;
@@ -110,7 +109,7 @@ struct RunResult {
   double inference_ms = 0.0;
   double subgraph_nodes = 0.0;  // mean merged-subgraph size
   uint64_t cache_hits = 0;
-  double speedup = 1.0;  // vs the single-request autograd baseline
+  double speedup = 1.0;  // vs the single-request inference baseline
 };
 
 /// One measurement: `threads` client threads drain a shared work queue
@@ -122,7 +121,6 @@ RunResult RunOne(ServingStack* s, const std::string& mode, int threads,
   obs::MetricsRegistry reg;
   server::PredictionConfig pcfg;
   pcfg.metrics = &reg;
-  pcfg.use_inference_path = mode != "autograd";
   pcfg.cache_capacity = cache_capacity;
   // "inference[scalar]" ablates the SIMD tiers (dispatch forced to the
   // scalar kernels).
@@ -186,28 +184,21 @@ int Main(int argc, char** argv) {
   const std::string out = flags.GetString("out", "BENCH_serving.json");
   const int hw = static_cast<int>(std::thread::hardware_concurrency());
 
-  std::printf("== serving throughput: batched tape-free inference ==\n");
+  std::printf("== serving throughput: batched inference ==\n");
   std::printf("users=%d, %zu requests per run, %d hardware threads\n\n",
               users, requests, hw);
   ServingStack stack = BuildStack(users, scale);
 
   std::vector<RunResult> runs;
-  // Baseline: one client, one request per call, autograd forward — the
-  // pre-optimization serving path.
-  runs.push_back(
-      RunOne(&stack, "autograd", 1, 1, requests, 0, stack.pool));
-  const double baseline_rps = runs.front().requests_per_second;
-  // Ablation: batching alone (autograd forward on merged batches)
-  // separates the merged-subgraph win from the tape-free win.
-  runs.push_back(
-      RunOne(&stack, "autograd", 1, 8, requests, 0, stack.pool));
-  // Grid: tape-free path over thread count x batch size.
+  // Grid over thread count x batch size. Its first cell (one client,
+  // one request per call) is the baseline every speedup is relative to.
   for (int threads : {1, 2, 4}) {
     for (int batch : {1, 8, 16, 32}) {
       runs.push_back(RunOne(&stack, "inference", threads, batch, requests,
                             0, stack.pool));
     }
   }
+  const double baseline_rps = runs.front().requests_per_second;
   // SIMD ablation at the t1/b8 cell (the smallest gated batched cell):
   // the scalar run isolates what the dispatched kernels buy end-to-end.
   runs.push_back(RunOne(&stack, "inference[scalar]", 1, 8, requests, 0,
@@ -240,8 +231,8 @@ int Main(int argc, char** argv) {
                   std::to_string(r.cache_hits)});
   }
   table.Print();
-  std::printf("\nbest tape-free batched speedup (batch >= 8): %.2fx "
-              "(target >= 3x over single-request autograd)\n",
+  std::printf("\nbest batched speedup (batch >= 8): %.2fx "
+              "(target >= 3x over single-request)\n",
               acceptance);
 
   std::ofstream f(out);

@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
   // 4. Inductive single-user scoring (the serving path).
   const UserId suspect = data->test_uids[0];
   auto batch = core::MakeBatch(*data, {suspect}, bn::SamplerConfig{});
-  const double p = gnn::GnnTrainer::PredictTargets(&hag, batch)[0];
+  const double p = gnn::GnnTrainer::PredictTargets(hag, batch)[0];
   std::printf(
       "user %u: fraud probability %.3f (label %d), computation subgraph "
       "%zu nodes\n",

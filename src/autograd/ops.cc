@@ -8,6 +8,47 @@ namespace turbo::ag {
 
 using la::Matrix;
 
+namespace {
+
+/// [m,n] -> [1,n]: the gradient of a row-broadcast bias.
+Matrix ColSums(const Matrix& g) {
+  Matrix out(1, g.cols());
+  for (size_t r = 0; r < g.rows(); ++r) {
+    for (size_t c = 0; c < g.cols(); ++c) out(0, c) += g(r, c);
+  }
+  return out;
+}
+
+void CheckFusedAct(la::Act act) {
+  TURBO_CHECK_MSG(act == la::Act::kIdentity || act == la::Act::kRelu,
+                  "fused autograd ops support kIdentity and kRelu only");
+}
+
+/// Gradient w.r.t. the pre-activation z of a fused node y = act(z).
+Matrix PreActGrad(const Node* n, la::Act act) {
+  if (act == la::Act::kIdentity) return n->grad;
+  return la::ZipT(n->grad, n->value,
+                  [](float g, float y) { return y > 0.0f ? g : 0.0f; });
+}
+
+/// Pushes the pre-activation gradient into a fused op's addend, reducing
+/// over rows when the addend is a broadcast [1,n] bias.
+void AccumAddendGrad(Node* addend, const Matrix& gz) {
+  if (!addend->requires_grad) return;
+  addend->AccumGrad(addend->rows() == gz.rows() ? gz : ColSums(gz));
+}
+
+// The sparse ops keep a copy of the adjacency for backward: shared
+// graphs reuse one SparseMatrix across many ops, so capturing it by
+// pointer would be a lifetime hazard. The O(nnz) copy is taken only when
+// x's gradient will actually be recorded.
+la::SparseMatrix AdjacencyForBackward(const la::SparseMatrix& a,
+                                      const Tensor& x) {
+  return GradEnabled() && x->requires_grad ? a : la::SparseMatrix();
+}
+
+}  // namespace
+
 Tensor Add(const Tensor& a, const Tensor& b) {
   TURBO_CHECK(a->value.same_shape(b->value));
   Matrix v = a->value;
@@ -64,13 +105,7 @@ Tensor AddRowBroadcast(const Tensor& x, const Tensor& bias) {
   return MakeOp("add_rowbc", std::move(v), {x, bias}, [](Node* n) {
     if (n->parents[0]->requires_grad) n->parents[0]->AccumGrad(n->grad);
     if (n->parents[1]->requires_grad) {
-      Matrix gb(1, n->grad.cols());
-      for (size_t r = 0; r < n->grad.rows(); ++r) {
-        for (size_t c = 0; c < n->grad.cols(); ++c) {
-          gb(0, c) += n->grad(r, c);
-        }
-      }
-      n->parents[1]->AccumGrad(gb);
+      n->parents[1]->AccumGrad(ColSums(n->grad));
     }
   });
 }
@@ -110,16 +145,55 @@ Tensor MatMul(const Tensor& a, const Tensor& b) {
   });
 }
 
+Tensor MatMulBiasAct(const Tensor& a, const Tensor& b, const Tensor& addend,
+                     la::Act act) {
+  CheckFusedAct(act);
+  Matrix v = la::dispatch::MatMulBiasAct(
+      a->value, b->value, addend ? &addend->value : nullptr, act);
+  std::vector<Tensor> parents = {a, b};
+  if (addend) parents.push_back(addend);
+  return MakeOp("matmul_bias_act", std::move(v), std::move(parents),
+                [act](Node* n) {
+                  const Matrix gz = PreActGrad(n, act);
+                  if (n->parents[0]->requires_grad) {
+                    n->parents[0]->AccumGrad(la::dispatch::MatMulTransB(
+                        gz, n->parents[1]->value));
+                  }
+                  if (n->parents[1]->requires_grad) {
+                    n->parents[1]->AccumGrad(la::dispatch::MatMul(
+                        la::Transpose(n->parents[0]->value), gz));
+                  }
+                  if (n->parents.size() > 2) {
+                    AccumAddendGrad(n->parents[2].get(), gz);
+                  }
+                });
+}
+
 Tensor SpMM(const la::SparseMatrix& a, const Tensor& x) {
   Matrix v = la::dispatch::Spmm(a, x->value);
-  // The sparse matrix is captured by value; it is cheap to copy only if the
-  // caller keeps it alive — copy the CSR arrays to be safe (shared graphs
-  // reuse one SparseMatrix across many ops, so capture by pointer would be
-  // a lifetime hazard in benches).
-  la::SparseMatrix acopy = a;
-  return MakeOp("spmm", std::move(v), {x}, [acopy](Node* n) {
-    n->parents[0]->AccumGrad(acopy.MultiplyTransposed(n->grad));
-  });
+  return MakeOp("spmm", std::move(v), {x},
+                [acopy = AdjacencyForBackward(a, x)](Node* n) {
+                  n->parents[0]->AccumGrad(acopy.MultiplyTransposed(n->grad));
+                });
+}
+
+Tensor SpMMBiasAct(const la::SparseMatrix& a, const Tensor& x,
+                   const Tensor& addend, la::Act act) {
+  CheckFusedAct(act);
+  Matrix v = la::dispatch::SpmmBiasAct(
+      a, x->value, addend ? &addend->value : nullptr, act);
+  std::vector<Tensor> parents = {x};
+  if (addend) parents.push_back(addend);
+  return MakeOp("spmm_bias_act", std::move(v), std::move(parents),
+                [acopy = AdjacencyForBackward(a, x), act](Node* n) {
+                  const Matrix gz = PreActGrad(n, act);
+                  if (n->parents[0]->requires_grad) {
+                    n->parents[0]->AccumGrad(acopy.MultiplyTransposed(gz));
+                  }
+                  if (n->parents.size() > 1) {
+                    AccumAddendGrad(n->parents[1].get(), gz);
+                  }
+                });
 }
 
 Tensor ConcatCols(const Tensor& a, const Tensor& b) {
@@ -171,9 +245,7 @@ Tensor SliceCols(const Tensor& a, size_t start, size_t len) {
 // through the MapT/ZipT templates (stateless lambdas instantiated per
 // op), so the per-element work inlines instead of dispatching through a
 // std::function on every entry — these are the hottest elementwise ops
-// on both the training and the tape-free serving path (the latter uses
-// the same functors via la::kernels::*, keeping the two forwards
-// numerically identical).
+// of every model forward, recorded or not.
 Tensor Relu(const Tensor& a) {
   return MakeOp("relu", la::MapT(a->value, la::kernels::Relu), {a},
                 [](Node* n) {

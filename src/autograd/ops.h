@@ -5,15 +5,16 @@
 // tests/autograd/gradcheck_test.cc.
 //
 // Each op is a forward kernel plus a backward closure. The dense and
-// sparse products (MatMul, SpMM) run on the runtime-dispatched kernels
-// of la/kernel_dispatch.h, the same ones the tape-free inference
-// forwards use, so training follows the active kernel ISA; forcing the
-// scalar tier makes it bit-exact across machines.
+// sparse products (MatMul, SpMM and their fused epilogues) run on the
+// runtime-dispatched kernels of la/kernel_dispatch.h, so training and
+// serving (the same ops under NoGradScope) follow the active kernel ISA;
+// forcing the scalar tier makes both bit-exact across machines.
 #pragma once
 
 #include <vector>
 
 #include "autograd/tensor.h"
+#include "la/kernel_table.h"
 #include "la/sparse.h"
 #include "util/rng.h"
 
@@ -33,6 +34,15 @@ Tensor MulColBroadcast(const Tensor& x, const Tensor& gate);
 Tensor MatMul(const Tensor& a, const Tensor& b);
 /// y = A * x with a constant sparse adjacency A (graph aggregation).
 Tensor SpMM(const la::SparseMatrix& a, const Tensor& x);
+/// Fused act(a * b + addend) on la::dispatch::MatMulBiasAct. `addend` is
+/// null, a [1,n] row-broadcast bias or a full [m,n] matrix; `act` is
+/// kIdentity or kRelu.
+Tensor MatMulBiasAct(const Tensor& a, const Tensor& b, const Tensor& addend,
+                     la::Act act);
+/// Fused act(A * x + addend) on la::dispatch::SpmmBiasAct; `addend` and
+/// `act` as in MatMulBiasAct.
+Tensor SpMMBiasAct(const la::SparseMatrix& a, const Tensor& x,
+                   const Tensor& addend, la::Act act);
 
 // ---- shape ----
 Tensor ConcatCols(const Tensor& a, const Tensor& b);

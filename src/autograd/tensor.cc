@@ -31,9 +31,21 @@ Tensor Param(la::Matrix value, std::string name) {
   return std::make_shared<Node>(std::move(name), std::move(value), true);
 }
 
+namespace {
+thread_local bool grad_enabled = true;
+}  // namespace
+
+NoGradScope::NoGradScope() : prev_(grad_enabled) { grad_enabled = false; }
+NoGradScope::~NoGradScope() { grad_enabled = prev_; }
+
+bool GradEnabled() { return grad_enabled; }
+
 Tensor MakeOp(std::string name, la::Matrix value,
               std::vector<Tensor> parents,
               std::function<void(Node*)> backward) {
+  if (!grad_enabled) {
+    return std::make_shared<Node>(std::move(name), std::move(value), false);
+  }
   bool rg = false;
   for (const auto& p : parents) rg = rg || p->requires_grad;
   auto node = std::make_shared<Node>(std::move(name), std::move(value), rg);

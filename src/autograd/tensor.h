@@ -10,6 +10,10 @@
 // created with MakeOp and a hand-written backward closure; all backward
 // implementations are validated against numerical differentiation in
 // tests/autograd/.
+//
+// Recording is on by default. Inside an ag::NoGradScope the same ops run
+// the same kernels, but MakeOp keeps no parents and no closure, so a
+// forward (e.g. serving) allocates nothing beyond its result values.
 #pragma once
 
 #include <functional>
@@ -59,7 +63,27 @@ Tensor Constant(la::Matrix value, std::string name = "const");
 /// Leaf with gradient (trainable parameter).
 Tensor Param(la::Matrix value, std::string name = "param");
 
-/// Interior node; requires_grad is inherited from any parent.
+/// RAII switch that turns recording off on the calling thread until the
+/// scope closes (cf. torch.no_grad). Scopes nest, each restoring the
+/// state it found; other threads are unaffected.
+class NoGradScope {
+ public:
+  NoGradScope();
+  ~NoGradScope();
+  NoGradScope(const NoGradScope&) = delete;
+  NoGradScope& operator=(const NoGradScope&) = delete;
+
+ private:
+  bool prev_;
+};
+
+/// False while a NoGradScope is open on the calling thread. Ops whose
+/// backward captures O(nnz) state check it to skip building the closure.
+bool GradEnabled();
+
+/// Interior node; requires_grad is inherited from any parent. With
+/// recording off (NoGradScope) the result has requires_grad=false and
+/// keeps neither `parents` nor `backward`.
 Tensor MakeOp(std::string name, la::Matrix value,
               std::vector<Tensor> parents,
               std::function<void(Node*)> backward);

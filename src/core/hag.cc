@@ -48,15 +48,20 @@ void Hag::Init(int in_dim) {
 
 Tensor Hag::ApplySao(const SaoLayer& layer, const Tensor& h,
                      const la::SparseMatrix& mean_adj) const {
+  Tensor self_term = ag::MatMul(h, layer.w_self);
+  if (!cfg_.use_sao) {
+    // SAO(-): plain skip-connection aggregation (Eq. 4), ReLU(H Wls +
+    // (Ā H) Wln), evaluated as ReLU(Ā (H Wln) + H Wls) so the SpMM runs
+    // on the transformed (narrow) features and fuses with the self-term
+    // addend and the activation.
+    return ag::SpMMBiasAct(mean_adj, ag::MatMul(h, layer.w_neigh),
+                           self_term, la::Act::kRelu);
+  }
   // Eq. 6: weighted-mean neighborhood representation. The adjacency is
   // row-normalized over the (already degree-normalized) BN edge weights.
+  // The gate below needs Ā H itself, so full SAO aggregates first.
   Tensor hn = ag::SpMM(mean_adj, h);
-  Tensor self_term = ag::MatMul(h, layer.w_self);
   Tensor neigh_term = ag::MatMul(hn, layer.w_neigh);
-  if (!cfg_.use_sao) {
-    // SAO(-): plain skip-connection aggregation (Eq. 4).
-    return ag::Relu(ag::Add(self_term, neigh_term));
-  }
   // Eq. 7–9: attention gate between self and neighborhood.
   Tensor hs = ag::MatMul(h, layer.w_s);
   Tensor hnn = ag::MatMul(hn, layer.w_n);
@@ -69,89 +74,8 @@ Tensor Hag::ApplySao(const SaoLayer& layer, const Tensor& h,
               ag::MulColBroadcast(neigh_term, ag::SliceCols(alphas, 1, 1))));
 }
 
-la::Matrix Hag::ApplySaoInference(const SaoLayer& layer,
-                                  const la::Matrix& h,
-                                  const la::SparseMatrix& mean_adj) const {
-  if (!cfg_.use_sao) {
-    // SAO(-), inference-only reassociation: ReLU(H Wls + (Ā H) Wln)
-    // computed as ReLU(Ā (H Wln) + H Wls) so the SpMM runs on the
-    // transformed (narrow) features and fuses with the self-term addend
-    // and the activation. Equal in exact arithmetic; float difference
-    // is bounded by the inference-equivalence test.
-    la::Matrix self_term = la::dispatch::MatMul(h, layer.w_self->value);
-    return la::dispatch::SpmmBiasAct(
-        mean_adj, la::dispatch::MatMul(h, layer.w_neigh->value), &self_term,
-        la::Act::kRelu);
-  }
-  // Full SAO needs Ā H itself for the gate (Eq. 7–9), so the original
-  // structure stays; the products run on the dispatched kernels.
-  la::Matrix hn = la::dispatch::Spmm(mean_adj, h);
-  la::Matrix self_term = la::dispatch::MatMul(h, layer.w_self->value);
-  la::Matrix neigh_term = la::dispatch::MatMul(hn, layer.w_neigh->value);
-  la::Matrix hs = la::dispatch::MatMul(h, layer.w_s->value);
-  la::Matrix hnn = la::dispatch::MatMul(hn, layer.w_n->value);
-  la::Matrix a_self = la::dispatch::MatMul(
-      la::dispatch::MapAct(la::ConcatCols(hs, hs), la::Act::kTanh),
-      layer.p->value);
-  la::Matrix a_neigh = la::dispatch::MatMul(
-      la::dispatch::MapAct(la::ConcatCols(hnn, hs), la::Act::kTanh),
-      layer.p->value);
-  la::Matrix alphas = la::SoftmaxRows(la::ConcatCols(a_self, a_neigh));
-  la::Matrix z =
-      la::MulColBroadcast(self_term, la::SliceCols(alphas, 0, 1));
-  z.Add(la::MulColBroadcast(neigh_term, la::SliceCols(alphas, 1, 1)));
-  return la::dispatch::MapAct(z, la::Act::kRelu);
-}
-
-la::Matrix Hag::EmbedInference(const gnn::GraphBatch& batch) const {
-  TURBO_CHECK(!chains_.empty());
-  const la::Matrix& x = batch.features;
-
-  if (!cfg_.use_cfo) {
-    la::Matrix h = x;
-    for (const auto& layer : chains_[0]) {
-      h = ApplySaoInference(layer, h, batch.union_mean);
-    }
-    return h;
-  }
-
-  std::vector<la::Matrix> type_embeddings;
-  type_embeddings.reserve(kNumEdgeTypes);
-  for (int r = 0; r < kNumEdgeTypes; ++r) {
-    const auto& chain = cfg_.share_type_weights ? chains_[0] : chains_[r];
-    la::Matrix h = x;
-    for (const auto& layer : chain) {
-      h = ApplySaoInference(layer, h, batch.type_mean[r]);
-    }
-    type_embeddings.push_back(std::move(h));
-  }
-
-  la::Matrix scores;
-  for (int r = 0; r < kNumEdgeTypes; ++r) {
-    la::Matrix sr = la::dispatch::MatMul(
-        la::dispatch::MapAct(
-            la::dispatch::MatMul(type_embeddings[r], cfo_[r].w_attn->value),
-            la::Act::kTanh),
-        cfo_[r].v_attn->value);
-    scores = (r == 0) ? std::move(sr) : la::ConcatCols(scores, sr);
-  }
-  la::Matrix alphas = la::SoftmaxRows(scores);
-
-  la::Matrix fused;
-  for (int r = 0; r < kNumEdgeTypes; ++r) {
-    la::Matrix term = la::MulColBroadcast(
-        la::dispatch::MatMul(type_embeddings[r], cfo_[r].m->value),
-        la::SliceCols(alphas, r, 1));
-    if (r == 0) {
-      fused = std::move(term);
-    } else {
-      fused.Add(term);
-    }
-  }
-  return fused;
-}
-
-Tensor Hag::Embed(const gnn::GraphBatch& batch, bool training, Rng* rng) {
+Tensor Hag::Embed(const gnn::GraphBatch& batch, bool training,
+                  Rng* rng) const {
   TURBO_CHECK(!chains_.empty());
   Tensor x = InputTensor(batch);
 

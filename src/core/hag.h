@@ -46,8 +46,7 @@ class Hag : public gnn::GnnModel {
 
   void Init(int in_dim) override;
   ag::Tensor Embed(const gnn::GraphBatch& batch, bool training,
-                   Rng* rng) override;
-  la::Matrix EmbedInference(const gnn::GraphBatch& batch) const override;
+                   Rng* rng) const override;
   std::vector<ag::Tensor> Params() const override;
   std::string name() const override;
 
@@ -72,8 +71,6 @@ class Hag : public gnn::GnnModel {
   SaoLayer MakeSaoLayer(int d_in, int d_out, Rng* rng) const;
   ag::Tensor ApplySao(const SaoLayer& layer, const ag::Tensor& h,
                       const la::SparseMatrix& mean_adj) const;
-  la::Matrix ApplySaoInference(const SaoLayer& layer, const la::Matrix& h,
-                               const la::SparseMatrix& mean_adj) const;
 
   HagConfig cfg_;
   /// chains_[type][layer]; with use_cfo=false there is a single chain.

@@ -134,7 +134,7 @@ std::vector<double> TrainAndScoreGnn(gnn::GnnModel* model,
   gnn::GnnTrainer trainer(train_cfg);
   trainer.Fit(model, train_batch, data.LabelsFor(data.train_uids));
   auto test_batch = MakeBatch(data, data.test_uids, sampler_cfg);
-  return gnn::GnnTrainer::PredictTargets(model, test_batch);
+  return gnn::GnnTrainer::PredictTargets(*model, test_batch);
 }
 
 }  // namespace turbo::core

@@ -26,7 +26,7 @@ void Gat::Init(int in_dim) {
   head_.Init(d, cfg_.mlp_hidden, &rng);
 }
 
-Tensor Gat::Embed(const GraphBatch& batch, bool training, Rng* rng) {
+Tensor Gat::Embed(const GraphBatch& batch, bool training, Rng* rng) const {
   TURBO_CHECK(!layers_.empty());
   Tensor h = InputTensor(batch);
   for (const auto& heads : layers_) {
@@ -41,28 +41,6 @@ Tensor Gat::Embed(const GraphBatch& batch, bool training, Rng* rng) {
     }
     h = ag::Relu(outs.size() == 1 ? outs[0] : ag::ConcatColsN(outs));
     h = ag::Dropout(h, cfg_.dropout, training, rng);
-  }
-  return h;
-}
-
-la::Matrix Gat::EmbedInference(const GraphBatch& batch) const {
-  TURBO_CHECK(!layers_.empty());
-  la::Matrix h = batch.features;
-  for (const auto& heads : layers_) {
-    std::vector<la::Matrix> outs;
-    outs.reserve(heads.size());
-    for (const auto& head : heads) {
-      la::Matrix hw = la::dispatch::MatMul(h, head.w->value);
-      la::Matrix s = la::dispatch::MatMul(hw, head.a_src->value);
-      la::Matrix d = la::dispatch::MatMul(hw, head.a_dst->value);
-      outs.push_back(GatAggregateInference(batch.union_self_structure, hw, s,
-                                           d, 0.2f));
-    }
-    la::Matrix cat = outs[0];
-    for (size_t i = 1; i < outs.size(); ++i) {
-      cat = la::ConcatCols(cat, outs[i]);
-    }
-    h = la::dispatch::MapAct(cat, la::Act::kRelu);
   }
   return h;
 }

@@ -10,10 +10,8 @@ using la::Matrix;
 
 namespace {
 
-/// Forward shared by the autograd op and the tape-free inference entry:
-/// per-edge softmax attention, normalized alphas (and lrelu'(z) signs)
-/// written to the caller's buffers, aggregated output returned. Both
-/// paths run this exact code, so their results are bit-identical.
+/// Per-edge softmax attention: normalized alphas (and lrelu'(z) signs)
+/// written to the caller's buffers, aggregated output returned.
 Matrix GatForward(const la::SparseMatrix& structure, const Matrix& h,
                   const Matrix& s, const Matrix& d, float leaky_slope,
                   std::vector<float>* alpha_out,
@@ -64,24 +62,21 @@ Matrix GatForward(const la::SparseMatrix& structure, const Matrix& h,
 
 }  // namespace
 
-Matrix GatAggregateInference(const la::SparseMatrix& structure,
-                             const Matrix& h, const Matrix& s,
-                             const Matrix& d, float leaky_slope) {
-  std::vector<float> alpha, zsign;
-  return GatForward(structure, h, s, d, leaky_slope, &alpha, &zsign);
-}
-
 Tensor GatAggregate(const la::SparseMatrix& structure, const Tensor& h,
                     const Tensor& s, const Tensor& d, float leaky_slope) {
   std::vector<float> alpha, zsign;
   Matrix out = GatForward(structure, h->value, s->value, d->value,
                           leaky_slope, &alpha, &zsign);
   const size_t f = h->cols();
-
-  la::SparseMatrix st = structure;  // keep structure alive in the closure
+  if (!ag::GradEnabled() ||
+      !(h->requires_grad || s->requires_grad || d->requires_grad)) {
+    return ag::MakeOp("gat_aggregate", std::move(out), {h, s, d}, nullptr);
+  }
   return ag::MakeOp(
       "gat_aggregate", std::move(out), {h, s, d},
-      [st, alpha, zsign, f](Node* node) {
+      // The structure is copied to keep it alive in the closure.
+      [st = structure, alpha = std::move(alpha), zsign = std::move(zsign),
+       f](Node* node) {
         Node* hn = node->parents[0].get();
         Node* sn = node->parents[1].get();
         Node* dn = node->parents[2].get();

@@ -6,7 +6,9 @@
 //   e_ij   = LeakyReLU(s_i + d_j)
 //   alpha  = softmax over j of e_ij
 //   out_i  = sum_j alpha_ij * h_j
-// with a hand-derived backward validated by gradcheck tests.
+// with a hand-derived backward validated by gradcheck tests. The
+// backward keeps the structure and the per-edge alphas (O(nnz)); under
+// ag::NoGradScope neither is retained.
 #pragma once
 
 #include "autograd/tensor.h"
@@ -17,13 +19,5 @@ namespace turbo::gnn {
 ag::Tensor GatAggregate(const la::SparseMatrix& structure,
                         const ag::Tensor& h, const ag::Tensor& s,
                         const ag::Tensor& d, float leaky_slope = 0.2f);
-
-/// Tape-free forward of GatAggregate on raw matrices: shares the forward
-/// kernel with the autograd op (identical bits), skips the per-edge
-/// alpha/zsign retention and Node allocation. Serving-path only.
-la::Matrix GatAggregateInference(const la::SparseMatrix& structure,
-                                 const la::Matrix& h, const la::Matrix& s,
-                                 const la::Matrix& d,
-                                 float leaky_slope = 0.2f);
 
 }  // namespace turbo::gnn

@@ -15,29 +15,17 @@ void Gcn::Init(int in_dim) {
   head_.Init(d, cfg_.mlp_hidden, &rng);
 }
 
-Tensor Gcn::Embed(const GraphBatch& batch, bool training, Rng* rng) {
+Tensor Gcn::Embed(const GraphBatch& batch, bool training,
+                  Rng* rng) const {
   TURBO_CHECK(!weights_.empty());
   Tensor h = InputTensor(batch);
   for (const auto& w : weights_) {
-    // Eq. 1 (random-walk form): H <- ReLU(Â H W), Â = D^-1 (A + I).
-    h = ag::Relu(ag::MatMul(ag::SpMM(batch.union_rw_self, h), w));
+    // Eq. 1 (random-walk form): H <- ReLU(Â H W), Â = D^-1 (A + I),
+    // evaluated as ReLU(Â (H W)) so the SpMM runs on the narrower
+    // output width and fuses with the activation.
+    h = ag::SpMMBiasAct(batch.union_rw_self, ag::MatMul(h, w),
+                        /*addend=*/nullptr, la::Act::kRelu);
     h = ag::Dropout(h, cfg_.dropout, training, rng);
-  }
-  return h;
-}
-
-la::Matrix Gcn::EmbedInference(const GraphBatch& batch) const {
-  TURBO_CHECK(!weights_.empty());
-  la::Matrix h = batch.features;
-  for (const auto& w : weights_) {
-    // Inference-only reassociation of Eq. 1: ReLU((Â H) W) is computed
-    // as ReLU(Â (H W)) so the SpMM is the last product and fuses with
-    // the activation. H W also makes the SpMM operand the (smaller)
-    // output width. Equal in exact arithmetic; float difference is
-    // bounded by the inference-equivalence test.
-    h = la::dispatch::SpmmBiasAct(batch.union_rw_self,
-                                  la::dispatch::MatMul(h, w->value),
-                                  /*addend=*/nullptr, la::Act::kRelu);
   }
   return h;
 }

@@ -6,7 +6,6 @@
 
 #include "autograd/ops.h"
 #include "gnn/graph_batch.h"
-#include "la/kernel_dispatch.h"
 #include "util/rng.h"
 
 namespace turbo::gnn {
@@ -28,10 +27,8 @@ struct GnnConfig {
 class MlpHead {
  public:
   void Init(int in_dim, int hidden, Rng* rng);
+  /// Two fused GEMM+bias+act layers (ag::MatMulBiasAct).
   ag::Tensor Forward(const ag::Tensor& h) const;
-  /// Tape-free Forward on a raw matrix through the dispatched fused
-  /// GEMM+bias+act kernels.
-  la::Matrix ForwardInference(const la::Matrix& h) const;
   std::vector<ag::Tensor> Params() const;
 
  private:
@@ -48,28 +45,18 @@ class GnnModel {
 
   /// Final node embeddings [n, d_k] — the representation the influence
   /// analysis (Definition 1) differentiates. `training` enables dropout.
+  /// This is the only forward: training records it on the autograd
+  /// tape, serving runs it under ag::NoGradScope (no parents, no
+  /// backward closures, no O(nnz) adjacency copies) and gets the same
+  /// bits (tests/core/inference_equivalence_test). The SpMM-based
+  /// layers aggregate the transformed features, e.g. ReLU(Â (H W)), so
+  /// the SpMM runs on the narrower operand and fuses with its epilogue.
   virtual ag::Tensor Embed(const GraphBatch& batch, bool training,
-                           Rng* rng) = 0;
+                           Rng* rng) const = 0;
 
   /// Per-node logits [n, 1]: classification head over Embed().
-  ag::Tensor Logits(const GraphBatch& batch, bool training, Rng* rng) {
+  ag::Tensor Logits(const GraphBatch& batch, bool training, Rng* rng) const {
     return head_.Forward(Embed(batch, training, rng));
-  }
-
-  /// Tape-free forward: Embed(batch, training=false) recomputed on raw
-  /// la::Matrix values — no Node allocation, no backward closures, no
-  /// std::function dispatch — through the same runtime-dispatched
-  /// kernels (la::dispatch) the autograd ops use, plus fused SpMM/GEMM
-  /// epilogues. Some models reassociate aggregate-and-transform for
-  /// fusion, so the two forwards agree to tight float tolerance rather
-  /// than bit-for-bit (verified in tests/core/inference_equivalence_test).
-  /// Ignores SetInputOverride (serving path only — always reads
-  /// batch.features).
-  virtual la::Matrix EmbedInference(const GraphBatch& batch) const = 0;
-
-  /// Tape-free Logits: classification head over EmbedInference().
-  la::Matrix LogitsInference(const GraphBatch& batch) const {
-    return head_.ForwardInference(EmbedInference(batch));
   }
 
   virtual std::vector<ag::Tensor> Params() const = 0;

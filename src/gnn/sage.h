@@ -13,8 +13,7 @@ class GraphSage : public GnnModel {
 
   void Init(int in_dim) override;
   ag::Tensor Embed(const GraphBatch& batch, bool training,
-                   Rng* rng) override;
-  la::Matrix EmbedInference(const GraphBatch& batch) const override;
+                   Rng* rng) const override;
   std::vector<ag::Tensor> Params() const override;
   std::string name() const override { return "G-SAGE"; }
 

@@ -19,17 +19,8 @@ void MlpHead::Init(int in_dim, int hidden, Rng* rng) {
 
 Tensor MlpHead::Forward(const Tensor& h) const {
   TURBO_CHECK(w1_ != nullptr);
-  Tensor z = ag::Relu(ag::AddRowBroadcast(ag::MatMul(h, w1_), b1_));
-  return ag::AddRowBroadcast(ag::MatMul(z, w2_), b2_);
-}
-
-la::Matrix MlpHead::ForwardInference(const la::Matrix& h) const {
-  TURBO_CHECK(w1_ != nullptr);
-  // Fused GEMM + bias + activation through the dispatched kernels.
-  la::Matrix z = la::dispatch::MatMulBiasAct(h, w1_->value, &b1_->value,
-                                             la::Act::kRelu);
-  return la::dispatch::MatMulBiasAct(z, w2_->value, &b2_->value,
-                                     la::Act::kIdentity);
+  Tensor z = ag::MatMulBiasAct(h, w1_, b1_, la::Act::kRelu);
+  return ag::MatMulBiasAct(z, w2_, b2_, la::Act::kIdentity);
 }
 
 std::vector<Tensor> MlpHead::Params() const {
@@ -73,9 +64,10 @@ double GnnTrainer::Fit(GnnModel* model, const GraphBatch& batch,
   return last_loss;
 }
 
-std::vector<double> GnnTrainer::PredictAll(GnnModel* model,
+std::vector<double> GnnTrainer::PredictAll(const GnnModel& model,
                                            const GraphBatch& batch) {
-  Tensor logits = model->Logits(batch, /*training=*/false, nullptr);
+  ag::NoGradScope no_grad;
+  Tensor logits = model.Logits(batch, /*training=*/false, nullptr);
   std::vector<double> out(batch.num_nodes());
   for (size_t i = 0; i < out.size(); ++i) {
     const float z = logits->value(i, 0);
@@ -85,30 +77,16 @@ std::vector<double> GnnTrainer::PredictAll(GnnModel* model,
   return out;
 }
 
-std::vector<double> GnnTrainer::PredictTargets(GnnModel* model,
+std::vector<double> GnnTrainer::PredictTargets(const GnnModel& model,
                                                const GraphBatch& batch) {
   auto all = PredictAll(model, batch);
   all.resize(batch.num_targets);
   return all;
 }
 
-std::vector<double> GnnTrainer::PredictAllInference(const GnnModel& model,
-                                                    const GraphBatch& batch) {
-  la::Matrix logits = model.LogitsInference(batch);
-  std::vector<double> out(batch.num_nodes());
-  for (size_t i = 0; i < out.size(); ++i) {
-    const float z = logits(i, 0);
-    out[i] = z >= 0.0f ? 1.0 / (1.0 + std::exp(-z))
-                       : std::exp(z) / (1.0 + std::exp(z));
-  }
-  return out;
-}
-
 std::vector<double> GnnTrainer::PredictTargetsInference(
     const GnnModel& model, const GraphBatch& batch) {
-  auto all = PredictAllInference(model, batch);
-  all.resize(batch.num_targets);
-  return all;
+  return PredictTargets(model, batch);
 }
 
 }  // namespace turbo::gnn

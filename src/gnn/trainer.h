@@ -34,21 +34,20 @@ class GnnTrainer {
   double Fit(GnnModel* model, const GraphBatch& batch,
              const std::vector<int>& labels);
 
-  /// Sigmoid(logits) for the batch's target rows.
-  static std::vector<double> PredictTargets(GnnModel* model,
+  /// Sigmoid(logits) for the batch's target rows, from the model's one
+  /// forward run under ag::NoGradScope. Safe to call concurrently on a
+  /// shared model. This is what the serving path calls.
+  static std::vector<double> PredictTargets(const GnnModel& model,
                                             const GraphBatch& batch);
 
-  /// Sigmoid(logits) for every node in the batch.
-  static std::vector<double> PredictAll(GnnModel* model,
+  /// Sigmoid(logits) for every node in the batch (also no-grad).
+  static std::vector<double> PredictAll(const GnnModel& model,
                                         const GraphBatch& batch);
 
-  /// Tape-free variants over GnnModel::LogitsInference — identical
-  /// predictions (same kernels), none of the tape's Node/closure
-  /// allocation. These are what the serving path calls.
+  /// Alias of PredictTargets, kept for callers that predate the single
+  /// forward (perfbench/cc).
   static std::vector<double> PredictTargetsInference(const GnnModel& model,
                                                      const GraphBatch& batch);
-  static std::vector<double> PredictAllInference(const GnnModel& model,
-                                                 const GraphBatch& batch);
 
  private:
   TrainConfig cfg_;

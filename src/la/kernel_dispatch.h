@@ -1,7 +1,7 @@
 // Runtime-dispatched dense/sparse kernels: the library's only GEMM,
-// GEMM * B^T and CSR SpMM forward, shared by the autograd ops (training)
-// and the tape-free inference forwards (serving), plus the fused
-// epilogues the model forwards use.
+// GEMM * B^T and CSR SpMM forward, run by the autograd ops (training, and
+// serving under ag::NoGradScope), plus the fused epilogues the model
+// forwards use (ag::MatMulBiasAct, ag::SpMMBiasAct).
 //
 // Each function owns the blocking and thread-pool structure and routes
 // the inner row-range loops through the per-ISA kernel table selected by

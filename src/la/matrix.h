@@ -121,8 +121,7 @@ void ParallelRows(size_t rows, size_t flops_per_row,
 Matrix Transpose(const Matrix& a);
 
 /// Elementwise map over a compile-time functor: the hot path used by the
-/// autograd ops and the tape-free inference forward (the callable is
-/// inlined; no std::function dispatch).
+/// autograd ops (the callable is inlined; no std::function dispatch).
 template <typename F>
 Matrix MapT(const Matrix& a, F&& f) {
   Matrix out(a.rows(), a.cols());
@@ -144,10 +143,9 @@ Matrix ZipT(const Matrix& a, const Matrix& b, F&& f) {
   return out;
 }
 
-/// Stateless elementwise functors shared by the autograd ops and the
-/// tape-free inference forward. Using the same callable on both paths
-/// keeps their results bit-identical (same instructions, same
-/// fp-contraction decisions).
+/// Stateless elementwise functors of the autograd ops. la::dispatch::
+/// MapAct with the matching Act is bit-identical to MapT with these (see
+/// kernel_dispatch.h).
 namespace kernels {
 inline constexpr auto Relu = [](float x) { return x > 0.0f ? x : 0.0f; };
 inline constexpr auto Tanh = [](float x) { return std::tanh(x); };

@@ -158,9 +158,7 @@ std::vector<PredictionResponse> PredictionServer::HandleBatch(
         batch.global_ids = sg.nodes;
       }
       const std::vector<double> probs =
-          config_.use_inference_path
-              ? gnn::GnnTrainer::PredictTargetsInference(*model_, batch)
-              : gnn::GnnTrainer::PredictTargets(model_, batch);
+          gnn::GnnTrainer::PredictTargets(*model_, batch);
       // One probability per distinct target: a batch naming the same uid
       // twice (e.g. a retry racing its original) collapses to one target
       // row in the sampler, so map each request position back through

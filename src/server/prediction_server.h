@@ -27,9 +27,10 @@
 //    changes a served prediction (bit-identical; see
 //    tests/server/admission_control_test.cc).
 //
-// With `use_inference_path` the model forward runs tape-free
-// (GnnModel::EmbedInference — no autograd Node/closure allocation),
-// which is prediction-identical to the autograd forward (see
+// The model forward is the model's one Embed/Logits forward run under
+// ag::NoGradScope (GnnTrainer::PredictTargets): no autograd parents or
+// backward closures are kept, and the result is bit-identical to the
+// recorded training-time forward (see
 // tests/core/inference_equivalence_test). With `cache_capacity` > 0,
 // predictions are memoized in an LRU keyed by (uid, snapshot version):
 // entries are naturally unreachable once a new snapshot is published and
@@ -71,11 +72,9 @@ namespace turbo::server {
 struct PredictionConfig {
   /// Online blocking threshold (Section VI-E uses 0.85).
   double threshold = 0.85;
-  /// Run the tape-free forward (GnnModel::EmbedInference) instead of the
-  /// autograd forward. Equivalent predictions (float-tolerance, see
-  /// tests/core/inference_equivalence_test); skips all tape allocation
-  /// and fuses bias/activation epilogues into the dispatched kernels.
-  /// Off by default so existing callers keep byte-for-byte behavior.
+  /// Ignored. Models have a single forward, and serving always runs it
+  /// without recording; the field remains only so that callers which
+  /// still set it (perfbench/cc) keep compiling.
   bool use_inference_path = false;
   /// Capacity (entries) of the snapshot-versioned prediction cache;
   /// 0 disables it. Keys are (shard_tag, snapshot version, uid), so a

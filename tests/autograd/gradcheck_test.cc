@@ -21,6 +21,15 @@ class GradCheckTest : public ::testing::Test {
                    float stddev = 0.8f) {
     return Param(Matrix::Randn(r, c, &rng_, stddev), name);
   }
+
+  /// Randn shifted away from zero, so that values (and the products)
+  /// feeding a relu/lrelu stay off the kink: a finite difference
+  /// straddling it measures neither one-sided derivative.
+  Tensor KinkFreeParam(size_t r, size_t c, const char* name) {
+    return Param(la::MapT(Matrix::Randn(r, c, &rng_),
+                          [](float v) { return v + (v >= 0 ? 0.5f : -0.5f); }),
+                 name);
+  }
 };
 
 TEST_F(GradCheckTest, AddSubMul) {
@@ -50,12 +59,7 @@ TEST_F(GradCheckTest, ColBroadcastGate) {
 }
 
 TEST_F(GradCheckTest, NonlinearitiesSmoothRegion) {
-  // Shift inputs away from relu/lrelu kinks for a clean finite-difference.
-  Tensor x = Param(
-      la::MapT(Matrix::Randn(4, 4, &rng_), [](float v) {
-        return v + (v >= 0 ? 0.5f : -0.5f);
-      }),
-      "x");
+  Tensor x = KinkFreeParam(4, 4, "x");
   ExpectGradsOk({x}, [&] { return Sum(Relu(x)); });
   ExpectGradsOk({x}, [&] { return Sum(LeakyRelu(x, 0.2f)); });
   ExpectGradsOk({x}, [&] { return Sum(Mul(Tanh(x), Sigmoid(x))); });
@@ -89,6 +93,38 @@ TEST_F(GradCheckTest, SpMM) {
              {3, 3, 2.0f}});
   Tensor x = RandParam(4, 3, "x");
   ExpectGradsOk({x}, [&] { return Sum(Tanh(SpMM(adj, x))); });
+}
+
+TEST_F(GradCheckTest, MatMulBiasAct) {
+  Tensor a = KinkFreeParam(4, 3, "a");
+  Tensor b = KinkFreeParam(3, 5, "b");
+  Tensor bias = RandParam(1, 5, "bias");
+  Tensor full = RandParam(4, 5, "full");
+  for (la::Act act : {la::Act::kIdentity, la::Act::kRelu}) {
+    ExpectGradsOk({a, b},
+                  [&] { return Sum(Tanh(MatMulBiasAct(a, b, nullptr, act))); });
+    ExpectGradsOk({a, b, bias},
+                  [&] { return Sum(Tanh(MatMulBiasAct(a, b, bias, act))); });
+    ExpectGradsOk({a, b, full},
+                  [&] { return Sum(Tanh(MatMulBiasAct(a, b, full, act))); });
+  }
+}
+
+TEST_F(GradCheckTest, SpMMBiasAct) {
+  auto adj = la::SparseMatrix::FromTriplets(
+      4, 4, {{0, 1, 0.5f}, {1, 0, 0.5f}, {1, 2, 1.5f}, {2, 3, -1.0f},
+             {3, 3, 2.0f}});
+  Tensor x = KinkFreeParam(4, 3, "x");
+  Tensor bias = RandParam(1, 3, "bias");
+  Tensor full = RandParam(4, 3, "full");
+  for (la::Act act : {la::Act::kIdentity, la::Act::kRelu}) {
+    ExpectGradsOk({x},
+                  [&] { return Sum(Tanh(SpMMBiasAct(adj, x, nullptr, act))); });
+    ExpectGradsOk({x, bias},
+                  [&] { return Sum(Tanh(SpMMBiasAct(adj, x, bias, act))); });
+    ExpectGradsOk({x, full},
+                  [&] { return Sum(Tanh(SpMMBiasAct(adj, x, full, act))); });
+  }
 }
 
 TEST_F(GradCheckTest, BceWithLogits) {

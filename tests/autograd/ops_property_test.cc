@@ -40,7 +40,6 @@ TEST_P(OpsPropertyTest, LinearGateChainGradients) {
 
 TEST_P(OpsPropertyTest, SoftmaxSliceGradients) {
   const auto& p = GetParam();
-  if (p.cols < 2) GTEST_SKIP();
   Rng rng(p.seed + 1);
   Tensor x = Param(la::Matrix::Randn(p.rows, p.cols, &rng, 0.8f), "x");
   Tensor pick = Constant(la::Matrix::Randn(p.rows, 1, &rng));
@@ -80,6 +79,38 @@ TEST_P(OpsPropertyTest, SpmmChainGradients) {
   ExpectGradsOk({x, w}, [&] {
     return Mean(Tanh(MatMul(SpMM(adj, x), w)));
   });
+}
+
+TEST_P(OpsPropertyTest, FusedBiasActGradients) {
+  const auto& p = GetParam();
+  Rng rng(p.seed + 5);
+  std::vector<la::Triplet> trips;
+  for (size_t i = 0; i < p.rows * 2; ++i) {
+    trips.push_back({static_cast<uint32_t>(rng.NextUint(p.rows)),
+                     static_cast<uint32_t>(rng.NextUint(p.rows)),
+                     static_cast<float>(rng.NextGaussian())});
+  }
+  auto adj = la::SparseMatrix::FromTriplets(p.rows, p.rows, trips);
+  Tensor x = Param(la::Matrix::Randn(p.rows, p.cols, &rng, 0.5f), "x");
+  Tensor w = Param(la::Matrix::Randn(p.cols, 2, &rng, 0.5f), "w");
+  Tensor bias = Param(la::Matrix::Randn(1, 2, &rng, 0.5f), "bias");
+  Tensor self = Param(la::Matrix::Randn(p.rows, 2, &rng, 0.5f), "self");
+  for (la::Act act : {la::Act::kIdentity, la::Act::kRelu}) {
+    // The MLP-head shape (bias) and the SAGE-layer shape (full addend),
+    // each also without an addend.
+    ExpectGradsOk({x, w, bias}, [&] {
+      return Mean(Tanh(MatMulBiasAct(x, w, bias, act)));
+    });
+    ExpectGradsOk({x, w}, [&] {
+      return Mean(Tanh(MatMulBiasAct(x, w, nullptr, act)));
+    });
+    ExpectGradsOk({x, w, self}, [&] {
+      return Mean(Tanh(SpMMBiasAct(adj, MatMul(x, w), self, act)));
+    });
+    ExpectGradsOk({x, w}, [&] {
+      return Mean(Tanh(SpMMBiasAct(adj, MatMul(x, w), nullptr, act)));
+    });
+  }
 }
 
 TEST_P(OpsPropertyTest, ValueIdentities) {

@@ -1,6 +1,7 @@
 #include "autograd/tensor.h"
 
 #include <cmath>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -184,6 +185,79 @@ TEST(GraphSizeTest, CountsDistinctNodes) {
   Tensor loss = Sum(Add(y, y));
   // nodes: p, y, add, sum
   EXPECT_EQ(GraphSize(loss), 4u);
+}
+
+TEST(NoGradScopeTest, ResultKeepsNoParentsOrBackward) {
+  auto adj = la::SparseMatrix::FromTriplets(
+      2, 2, {{0, 1, 1.0f}, {1, 0, 2.0f}, {1, 1, -1.0f}});
+  Tensor x = Param(Matrix::FromRows({{1, -2}, {3, 4}}), "x");
+  Tensor w = Param(Matrix::FromRows({{0.5f, 1}, {-1, 2}}), "w");
+  Tensor bias = Param(Matrix::FromRows({{0.1f, -0.2f}}), "bias");
+  auto forward = [&] {
+    Tensor h = MatMulBiasAct(x, w, bias, la::Act::kRelu);
+    return Sum(SpMMBiasAct(adj, SpMM(adj, h), h, la::Act::kIdentity));
+  };
+  Tensor recorded = forward();
+  EXPECT_TRUE(recorded->requires_grad);
+  EXPECT_GT(GraphSize(recorded), 4u);
+  NoGradScope no_grad;
+  Tensor y = forward();
+  EXPECT_FALSE(y->requires_grad);
+  EXPECT_TRUE(y->parents.empty());
+  EXPECT_FALSE(y->backward_fn);
+  EXPECT_EQ(GraphSize(y), 1u);
+  EXPECT_EQ(y->value(0, 0), recorded->value(0, 0));
+}
+
+TEST(NoGradScopeTest, NestedScopesRestoreOuterState) {
+  EXPECT_TRUE(GradEnabled());
+  {
+    NoGradScope outer;
+    EXPECT_FALSE(GradEnabled());
+    {
+      NoGradScope inner;
+      EXPECT_FALSE(GradEnabled());
+    }
+    EXPECT_FALSE(GradEnabled());
+  }
+  EXPECT_TRUE(GradEnabled());
+  Tensor p = Param(Matrix(1, 1, 2.0f));
+  EXPECT_TRUE(Mul(p, p)->requires_grad);
+}
+
+TEST(NoGradScopeTest, ScopeIsThreadLocal) {
+  Tensor p = Param(Matrix(1, 1, 2.0f));
+  NoGradScope no_grad;
+  bool other_enabled = false;
+  bool other_records = false;
+  std::thread t([&] {
+    other_enabled = GradEnabled();
+    Tensor y = Mul(p, p);
+    other_records = y->requires_grad && y->parents.size() == 2;
+  });
+  t.join();
+  EXPECT_TRUE(other_enabled);
+  EXPECT_TRUE(other_records);
+  EXPECT_FALSE(GradEnabled());
+  EXPECT_FALSE(Mul(p, p)->requires_grad);
+}
+
+TEST(NoGradScopeTest, ParamGradsUntouchedByNoGradForward) {
+  Tensor p = Param(Matrix::FromRows({{1, -2}, {3, 0.5f}}), "p");
+  Backward(Sum(Tanh(MatMul(p, p))));
+  const Matrix grad = p->grad;
+  {
+    NoGradScope no_grad;
+    Tensor y = Sum(Tanh(MatMul(p, p)));
+    EXPECT_FALSE(y->requires_grad);
+  }
+  ASSERT_TRUE(p->has_grad());
+  EXPECT_TRUE(la::AllClose(p->grad, grad, 0.0f, 0.0f));
+  // Recording resumes after the scope: a second backward accumulates.
+  Backward(Sum(Tanh(MatMul(p, p))));
+  Matrix twice = grad;
+  twice.Add(grad);
+  EXPECT_TRUE(la::AllClose(p->grad, twice));
 }
 
 TEST(L2PenaltyTest, ValueAndGrad) {

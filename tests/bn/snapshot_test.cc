@@ -54,7 +54,9 @@ TEST(SnapshotTest, SymmetricNormalizationFusedIntoBuild) {
   EXPECT_NEAR(nbrs.weight(0), 2.0f / std::sqrt(8.0f), 1e-6f);
   // Symmetric: same value seen from node 1.
   for (const auto& e : snap->Neighbors(0, 1)) {
-    if (e.id == 0) EXPECT_NEAR(e.weight, 2.0f / std::sqrt(8.0f), 1e-6f);
+    if (e.id == 0) {
+      EXPECT_NEAR(e.weight, 2.0f / std::sqrt(8.0f), 1e-6f);
+    }
   }
 }
 
@@ -62,8 +64,12 @@ TEST(SnapshotTest, NormalizationIsPerType) {
   auto snap = BnSnapshot::Build(MakeStore(), 3);
   // Type 1: deg(0)=4, deg(1)=1, deg(2)=3. w'(0,1) = 1/sqrt(4).
   for (const auto& e : snap->Neighbors(1, 0)) {
-    if (e.id == 1) EXPECT_NEAR(e.weight, 0.5f, 1e-6f);
-    if (e.id == 2) EXPECT_NEAR(e.weight, 3.0f / std::sqrt(12.0f), 1e-6f);
+    if (e.id == 1) {
+      EXPECT_NEAR(e.weight, 0.5f, 1e-6f);
+    }
+    if (e.id == 2) {
+      EXPECT_NEAR(e.weight, 3.0f / std::sqrt(12.0f), 1e-6f);
+    }
   }
 }
 

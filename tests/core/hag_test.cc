@@ -159,7 +159,7 @@ TEST(HagTest, LearnsHeterogeneousCommunitySignal) {
   tc.lr = 5e-3f;
   gnn::GnnTrainer trainer(tc);
   trainer.Fit(&model, batch, labels);
-  auto scores = gnn::GnnTrainer::PredictTargets(&model, batch);
+  auto scores = gnn::GnnTrainer::PredictTargets(model, batch);
   EXPECT_GT(metrics::RocAuc(scores, labels), 0.9);
 }
 

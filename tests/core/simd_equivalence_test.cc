@@ -1,6 +1,7 @@
-// SIMD-tier equivalence at model level: EmbedInference and
-// LogitsInference under every supported SIMD tier must stay within 4 ULP
-// (with a cancellation abs-floor) of the forced-scalar inference path,
+// SIMD-tier equivalence at model level: the serving forward (Embed and
+// Logits under ag::NoGradScope) under every supported SIMD tier must
+// stay within 4 ULP (with a cancellation abs-floor) of the forced-scalar
+// forward,
 // for HAG under every SAO x CFO ablation combo and for all three
 // baselines. This is the end-to-end companion of the kernel-level sweep
 // in tests/la/dispatch_test.cc: kernels that individually stay within a
@@ -45,7 +46,7 @@ float ModelFloor(const la::Matrix& ref) {
 
 /// Trains briefly under the scalar tier (training dispatches too, so the
 /// pin keeps the weights identical on every host), then sweeps every
-/// supported SIMD tier against the forced-scalar inference forward.
+/// supported SIMD tier against the forced-scalar no-grad forward.
 void ExpectSimdMatchesScalar(gnn::GnnModel* model,
                              const gnn::GraphBatch& batch) {
   la::Matrix emb_ref, logits_ref;
@@ -56,17 +57,21 @@ void ExpectSimdMatchesScalar(gnn::GnnModel* model,
     tcfg.epochs = 8;
     gnn::GnnTrainer trainer(tcfg);
     trainer.Fit(model, batch, AlternatingLabels(batch.num_targets));
-    emb_ref = model->EmbedInference(batch);
-    logits_ref = model->LogitsInference(batch);
+    ag::NoGradScope no_grad;
+    emb_ref = model->Embed(batch, /*training=*/false, nullptr)->value;
+    logits_ref = model->Logits(batch, /*training=*/false, nullptr)->value;
   }
+  ag::NoGradScope no_grad;
   for (la::KernelIsa isa : la::testing::SupportedIsas()) {
     if (isa == la::KernelIsa::kScalar) continue;
     la::ScopedKernelIsa forced(isa);
     SCOPED_TRACE(la::IsaName(isa));
-    ExpectUlpClose(emb_ref, model->EmbedInference(batch), kMaxUlps,
-                   ModelFloor(emb_ref), "EmbedInference");
-    ExpectUlpClose(logits_ref, model->LogitsInference(batch), kMaxUlps,
-                   ModelFloor(logits_ref), "LogitsInference");
+    ExpectUlpClose(emb_ref,
+                   model->Embed(batch, /*training=*/false, nullptr)->value,
+                   kMaxUlps, ModelFloor(emb_ref), "Embed");
+    ExpectUlpClose(logits_ref,
+                   model->Logits(batch, /*training=*/false, nullptr)->value,
+                   kMaxUlps, ModelFloor(logits_ref), "Logits");
   }
 }
 

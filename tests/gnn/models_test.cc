@@ -83,7 +83,7 @@ double TrainEvalAuc(GnnModel* model) {
   model->Init(4);
   GnnTrainer trainer(FastTrain());
   trainer.Fit(model, train.batch, train.labels);
-  auto scores = GnnTrainer::PredictTargets(model, test.batch);
+  auto scores = GnnTrainer::PredictTargets(*model, test.batch);
   return metrics::RocAuc(scores, test.labels);
 }
 
@@ -109,7 +109,7 @@ TEST(GatTest, LearnsCommunityStructureInductively) {
   tc.lr = 5e-2f;
   GnnTrainer trainer(tc);
   trainer.Fit(&model, train.batch, train.labels);
-  auto scores = GnnTrainer::PredictTargets(&model, test.batch);
+  auto scores = GnnTrainer::PredictTargets(model, test.batch);
   EXPECT_GT(metrics::RocAuc(scores, test.labels), 0.85);
 }
 
@@ -147,7 +147,7 @@ TEST(TrainerTest, PredictionsAreProbabilities) {
   model.Init(4);
   GnnTrainer trainer(FastTrain());
   trainer.Fit(&model, data.batch, data.labels);
-  for (double p : GnnTrainer::PredictAll(&model, data.batch)) {
+  for (double p : GnnTrainer::PredictAll(model, data.batch)) {
     EXPECT_GE(p, 0.0);
     EXPECT_LE(p, 1.0);
   }
@@ -162,7 +162,7 @@ TEST(TrainerTest, MaskedLossIgnoresContextRows) {
   model.Init(4);
   GnnTrainer trainer(FastTrain());
   EXPECT_NO_FATAL_FAILURE(trainer.Fit(&model, data.batch, data.labels));
-  auto scores = GnnTrainer::PredictTargets(&model, data.batch);
+  auto scores = GnnTrainer::PredictTargets(model, data.batch);
   EXPECT_EQ(scores.size(), 10u);
 }
 
@@ -183,8 +183,8 @@ TEST(GnnTest, DeterministicTrainingForSameSeed) {
   GnnTrainer ta(FastTrain()), tb(FastTrain());
   ta.Fit(&a, data.batch, data.labels);
   tb.Fit(&b, data.batch, data.labels);
-  auto pa = GnnTrainer::PredictAll(&a, data.batch);
-  auto pb = GnnTrainer::PredictAll(&b, data.batch);
+  auto pa = GnnTrainer::PredictAll(a, data.batch);
+  auto pb = GnnTrainer::PredictAll(b, data.batch);
   for (size_t i = 0; i < pa.size(); ++i) EXPECT_DOUBLE_EQ(pa[i], pb[i]);
 }
 

@@ -90,7 +90,9 @@ TEST(CpuFeaturesTest, EnvVarOverridesActiveIsa) {
   }
   ResetKernelIsa();
   KernelIsa expected = BestIsa();
-  if (orig) ASSERT_TRUE(ParseIsaName(saved, &expected));
+  if (orig) {
+    ASSERT_TRUE(ParseIsaName(saved, &expected));
+  }
   EXPECT_EQ(ActiveIsa(), expected);
 }
 

@@ -63,7 +63,6 @@ class PredictionServerConcurrencyTest : public ::testing::Test {
 
   static PredictionConfig ServingConfig() {
     PredictionConfig cfg;
-    cfg.use_inference_path = true;
     cfg.cache_capacity = 256;
     return cfg;
   }
